@@ -58,6 +58,8 @@ struct Block {
 /// is the whole plane on homogeneous devices).
 #[derive(Debug, Clone)]
 struct Plane {
+    /// Per-block state; empty until the plane is first touched (see
+    /// `FlashArray::materialize`). The scalars below are always exact.
     blocks: Vec<Block>,
     active: u32,
     write_ptr: u32,
@@ -146,6 +148,9 @@ pub struct FlashArray {
     migration_policy: Option<MigrationPolicy>,
     /// Watermark: fold whenever cache free pages drop below this.
     migration_low_pages: u64,
+    /// Largest warm-up target so far, in capacity-tier blocks: the prefix of
+    /// the tier that every not-yet-materialised plane holds warm data in.
+    warm_blocks: u32,
 }
 
 impl FlashArray {
@@ -161,14 +166,7 @@ impl FlashArray {
         let cache_pages = u64::from(slc_cache_blocks) * u64::from(cfg.pages_per_block);
         let capacity_pages = cfg.pages_per_plane() - cache_pages;
         let plane = Plane {
-            blocks: vec![
-                Block {
-                    valid: 0,
-                    erases: 0,
-                    state: BlockState::Free,
-                };
-                cfg.blocks_per_plane as usize
-            ],
+            blocks: Vec::new(),
             active: slc_cache_blocks,
             write_ptr: 0,
             free_pages: capacity_pages,
@@ -177,13 +175,7 @@ impl FlashArray {
             cache_write_ptr: 0,
             cache_free_pages: cache_pages,
         };
-        let mut planes = vec![plane; n_planes];
-        for p in &mut planes {
-            p.blocks[slc_cache_blocks as usize].state = BlockState::Active;
-            if slc_cache_blocks > 0 {
-                p.blocks[0].state = BlockState::Active;
-            }
-        }
+        let planes = vec![plane; n_planes];
         let gc_threshold_pages = (capacity_pages as f64 * cfg.gc_threshold).ceil() as u64;
         let migration_policy = match cfg.device_family {
             crate::config::DeviceFamily::Homogeneous => None,
@@ -218,7 +210,43 @@ impl FlashArray {
             slc_cache_blocks,
             migration_policy,
             migration_low_pages,
+            warm_blocks: 0,
         }
+    }
+
+    /// Builds `pidx`'s block array on first touch, in exactly the state
+    /// [`FlashArray::new`] followed by every [`FlashArray::warm_up`] so far
+    /// would have left it: the cache and capacity active blocks open, the
+    /// warm-up prefix of the capacity tier full, everything else free.
+    fn materialize(&mut self, pidx: usize) {
+        if !self.planes[pidx].blocks.is_empty() {
+            return;
+        }
+        let cache = self.slc_cache_blocks as usize;
+        let ppb = self.pages_per_block;
+        let free = Block {
+            valid: 0,
+            erases: 0,
+            state: BlockState::Free,
+        };
+        let mut blocks = vec![free; self.blocks_per_plane as usize];
+        blocks[cache].state = BlockState::Active;
+        if cache > 0 {
+            blocks[0].state = BlockState::Active;
+        }
+        for bi in self.warm_block_range() {
+            blocks[bi].valid = warm_valid_pages(ppb, pidx, bi);
+            blocks[bi].state = BlockState::Full;
+        }
+        self.planes[pidx].blocks = blocks;
+    }
+
+    /// Blocks warm-up has filled in every untouched plane: the warm prefix
+    /// of the capacity tier except its first block, the capacity active
+    /// block, which stays open.
+    fn warm_block_range(&self) -> std::ops::Range<usize> {
+        let cache = self.slc_cache_blocks as usize;
+        cache + 1..cache + self.warm_blocks as usize
     }
 
     /// Accumulated statistics.
@@ -261,11 +289,15 @@ impl FlashArray {
     ///
     /// Panics if `plane` is out of range.
     pub fn valid_pages(&self, plane: u32) -> u64 {
-        self.planes[plane as usize]
-            .blocks
-            .iter()
-            .map(|b| u64::from(b.valid))
-            .sum()
+        let pidx = plane as usize;
+        let blocks = &self.planes[pidx].blocks;
+        if blocks.is_empty() {
+            return self
+                .warm_block_range()
+                .map(|bi| u64::from(warm_valid_pages(self.pages_per_block, pidx, bi)))
+                .sum();
+        }
+        blocks.iter().map(|b| u64::from(b.valid)).sum()
     }
 
     /// Pages the array is short of its per-plane GC free-page target,
@@ -283,23 +315,32 @@ impl FlashArray {
     /// pages remain free, modeling the paper's warm-up ("occupy at least 50%
     /// of the storage capacity"). Valid densities vary deterministically per
     /// block so greedy GC has meaningful choices.
+    ///
+    /// Costs O(planes) until planes are touched: a plane whose blocks have
+    /// not been built yet only records the fill in its free-page count, and
+    /// its block state is built on first touch. Planes already touched are
+    /// filled block by block.
     pub fn warm_up(&mut self, fill_fraction: f64) {
         let fill = fill_fraction.clamp(0.0, 0.95);
         let ppb = u64::from(self.pages_per_block);
         let cache = self.slc_cache_blocks as usize;
         // Warm-up data is cold by definition: it lives in the capacity tier.
         let tier_blocks = self.blocks_per_plane - self.slc_cache_blocks;
+        let target_blocks = (fill * f64::from(tier_blocks)).floor() as u32;
+        let filled_before = self.warm_block_range().len();
+        self.warm_blocks = self.warm_blocks.max(target_blocks);
+        let lazily_filled = (self.warm_block_range().len() - filled_before) as u64 * ppb;
         for (pi, plane) in self.planes.iter_mut().enumerate() {
-            let target_blocks = (fill * f64::from(tier_blocks)).floor() as usize;
+            if plane.blocks.is_empty() {
+                plane.free_pages = plane.free_pages.saturating_sub(lazily_filled);
+                continue;
+            }
             let mut filled = 0u64;
             for (bi, b) in plane.blocks.iter_mut().enumerate().skip(cache) {
-                if bi - cache >= target_blocks || b.state != BlockState::Free {
+                if bi - cache >= target_blocks as usize || b.state != BlockState::Free {
                     continue;
                 }
-                // Deterministic pseudo-random valid density in [0.70, 1.0].
-                let h = splitmix64((pi as u64) << 32 | bi as u64);
-                let density = 0.70 + 0.30 * ((h % 1000) as f64 / 1000.0);
-                b.valid = ((ppb as f64) * density) as u16;
+                b.valid = warm_valid_pages(self.pages_per_block, pi, bi);
                 b.state = BlockState::Full;
                 filled += ppb;
             }
@@ -338,6 +379,7 @@ impl FlashArray {
     ///
     /// Panics if `plane` is out of range.
     pub fn program_page(&mut self, plane: u32) -> (u32, u32, Vec<BackgroundOp>) {
+        self.materialize(plane as usize);
         if self.slc_cache_blocks > 0 {
             self.program_cache_page(plane)
         } else {
@@ -536,6 +578,7 @@ impl FlashArray {
     ///
     /// Panics if indices are out of range.
     pub fn invalidate(&mut self, plane: u32, block: u32) {
+        self.materialize(plane as usize);
         let b = &mut self.planes[plane as usize].blocks[block as usize];
         if b.valid > 0 {
             b.valid -= 1;
@@ -546,6 +589,7 @@ impl FlashArray {
     /// copy's exact block is unknown (warm-up resident data). Prefers the
     /// fullest block so overwrite-heavy workloads create cheap GC victims.
     pub fn invalidate_somewhere(&mut self, plane: u32, hint: u64) {
+        self.materialize(plane as usize);
         let cache = self.slc_cache_blocks as usize;
         let plane_ref = &mut self.planes[plane as usize];
         // Resident-but-untracked data is cold: it lives in the capacity tier.
@@ -717,6 +761,10 @@ impl FlashArray {
         let mut min_e = u16::MAX;
         let mut max_e = 0u16;
         for p in &self.planes {
+            if p.blocks.is_empty() {
+                // An untouched plane has never erased a block.
+                min_e = 0;
+            }
             for b in &p.blocks {
                 min_e = min_e.min(b.erases);
                 max_e = max_e.max(b.erases);
@@ -728,6 +776,14 @@ impl FlashArray {
             u32::from(max_e - min_e)
         }
     }
+}
+
+/// Valid pages warm-up leaves in capacity block `block` of plane `plane`: a
+/// deterministic pseudo-random density in [0.70, 1.0] of the block.
+fn warm_valid_pages(pages_per_block: u32, plane: usize, block: usize) -> u16 {
+    let h = splitmix64((plane as u64) << 32 | block as u64);
+    let density = 0.70 + 0.30 * ((h % 1000) as f64 / 1000.0);
+    (f64::from(pages_per_block) * density) as u16
 }
 
 /// Deterministic 64-bit mixer (SplitMix64) for pseudo-placement decisions.
@@ -996,6 +1052,28 @@ mod tests {
             let _ = fa.program_page(0);
         }
         assert!(fa.stats().slc_migrated_pages > 0);
+    }
+
+    #[test]
+    fn erase_spread_counts_untouched_planes() {
+        // Wear one plane until every block has been erased; the other
+        // plane is never touched, so its blocks still count zero erases.
+        let cfg = SsdConfig {
+            blocks_per_plane: 4,
+            pages_per_block: 8,
+            channel_count: 2,
+            chips_per_channel: 1,
+            dies_per_chip: 1,
+            planes_per_die: 1,
+            ..tiny_cfg()
+        };
+        let mut fa = FlashArray::new(&cfg);
+        for _ in 0..400 {
+            let _ = fa.program_page(0);
+        }
+        let busiest = fa.planes[0].blocks.iter().map(|b| b.erases).max();
+        assert!(fa.planes[0].blocks.iter().all(|b| b.erases > 0));
+        assert_eq!(fa.erase_spread(), u32::from(busiest.unwrap()));
     }
 
     #[test]

@@ -6,8 +6,9 @@ use proptest::prelude::*;
 use ssdsim::config::{
     DeviceFamily, FlashTechnology, GcPolicy, MigrationPolicy, PlaneAllocationScheme, SsdConfig,
 };
-use ssdsim::flash::{pseudo_location, FlashArray};
+use ssdsim::flash::{pseudo_location, splitmix64, BackgroundOp, FlashArray};
 use ssdsim::BottleneckReport;
+use std::collections::HashMap;
 
 fn arb_layout() -> impl Strategy<Value = SsdConfig> {
     (
@@ -223,5 +224,170 @@ proptest! {
         prop_assert_eq!(cfg.total_planes(), cfg.total_dies() * u64::from(cfg.planes_per_die));
         prop_assert!(cfg.channel_transfer_ns() > 0);
         prop_assert!(cfg.link_bandwidth_bps() > 0.0);
+    }
+}
+
+/// Geometries drawn from the tuner catalog's value grids
+/// (`autoblox::params::param_grid`), restricted to their smaller entries so
+/// an eager reference array stays cheap, in either device family and any
+/// flash technology the family admits.
+fn arb_catalog_device() -> impl Strategy<Value = SsdConfig> {
+    (
+        (
+            prop::sample::select(vec![1u32, 2, 4]),
+            prop::sample::select(vec![1u32, 2, 3]),
+            prop::sample::select(vec![1u32, 2]),
+            prop::sample::select(vec![1u32, 2, 3]),
+            prop::sample::select(vec![128u32, 256, 512]),
+            prop::sample::select(vec![128u32, 256, 384]),
+            0usize..16,
+            prop::bool::ANY,
+        ),
+        (
+            prop::sample::select(vec![
+                FlashTechnology::Slc,
+                FlashTechnology::Mlc,
+                FlashTechnology::Tlc,
+                FlashTechnology::Qlc,
+            ]),
+            prop::bool::ANY,
+            5.0f64..=50.0,
+            10.0f64..=80.0,
+            prop::bool::ANY,
+        ),
+    )
+        .prop_map(
+            |(
+                (ch, chips, dies, planes, blocks, pages, scheme, greedy),
+                (tech, hybrid, cache_pct, threshold_pct, watermark),
+            )| {
+                let device_family = if hybrid {
+                    DeviceFamily::HybridSlcCache {
+                        cache_blocks_pct: cache_pct,
+                        migration_policy: if watermark {
+                            MigrationPolicy::Watermark
+                        } else {
+                            MigrationPolicy::Idle
+                        },
+                        migration_threshold_pct: threshold_pct,
+                    }
+                } else {
+                    DeviceFamily::Homogeneous
+                };
+                SsdConfig {
+                    channel_count: ch,
+                    chips_per_channel: chips,
+                    dies_per_chip: dies,
+                    planes_per_die: planes,
+                    blocks_per_plane: blocks,
+                    pages_per_block: pages,
+                    plane_allocation_scheme: PlaneAllocationScheme::ALL[scheme],
+                    gc_policy: if greedy {
+                        GcPolicy::Greedy
+                    } else {
+                        GcPolicy::Random
+                    },
+                    // A hybrid cache needs a multi-bit capacity tier.
+                    flash_technology: if hybrid && tech == FlashTechnology::Slc {
+                        FlashTechnology::Qlc
+                    } else {
+                        tech
+                    },
+                    device_family,
+                    ..SsdConfig::default()
+                }
+            },
+        )
+}
+
+/// An array whose planes are all built before anything else happens, so
+/// every warm-up takes the block-by-block path: the eager reference the
+/// lazily built array must match. Invalidating a fresh plane's capacity
+/// active block builds the plane and changes nothing, since that block holds
+/// no valid page yet.
+fn eager_array(cfg: &SsdConfig) -> FlashArray {
+    let mut fa = FlashArray::new(cfg);
+    let active = fa.slc_cache_blocks();
+    for p in 0..cfg.total_planes() as u32 {
+        fa.invalidate(p, active);
+        assert_eq!(fa.valid_pages(p), 0);
+    }
+    fa
+}
+
+/// Everything the array exposes about its state.
+fn array_state(fa: &FlashArray) -> (Vec<(u64, u64, u64)>, u32, u64, ssdsim::flash::FlashStats) {
+    let planes = (0..fa.plane_count() as u32)
+        .map(|p| (fa.valid_pages(p), fa.free_pages(p), fa.cache_free_pages(p)))
+        .collect();
+    (planes, fa.erase_spread(), fa.gc_backlog_pages(), fa.stats())
+}
+
+/// Overwrites `lpns` the way the simulator's write path does: invalidate
+/// the old copy (a hashed block of its pseudo-location plane when it was
+/// never written), then program a striped page. Returns every program's
+/// outcome.
+fn overwrite(
+    fa: &mut FlashArray,
+    cfg: &SsdConfig,
+    map: &mut HashMap<u64, (u32, u32)>,
+    lpns: &[u64],
+) -> Vec<(u32, u32, u32, Vec<BackgroundOp>)> {
+    lpns.iter()
+        .map(|&lpn| {
+            match map.get(&lpn) {
+                Some(&(plane, block)) => fa.invalidate(plane, block),
+                None => fa.invalidate_somewhere(
+                    pseudo_location(cfg, lpn).plane_index(cfg),
+                    splitmix64(lpn),
+                ),
+            }
+            let plane = fa.next_write_plane();
+            let (block, page, ops) = fa.program_page(plane);
+            map.insert(lpn, (plane, block));
+            (plane, block, page, ops)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Catalog-range devices cover the tuner's geometries; the tiny layouts
+    // overflow their planes, so GC, folds and emergency erases run on
+    // lazily built planes too.
+    #[test]
+    fn lazy_warm_up_matches_eager_reference(
+        cfg in prop_oneof![arb_catalog_device(), arb_layout(), arb_hybrid_layout()],
+        partial in prop::collection::vec(0u64..4_000, 1..120),
+        trace in prop::collection::vec(0u64..4_000, 1..200),
+    ) {
+        // Fills 0, 0.5 and 0.95; twice with different fills; each with and
+        // without a partial run first, which builds only the planes it
+        // touches.
+        let schedules: [&[f64]; 5] = [&[0.0], &[0.5], &[0.95], &[0.5, 0.95], &[0.95, 0.0]];
+        for fills in schedules {
+            for partial in [&partial[..0], &partial[..]] {
+                let mut lazy = FlashArray::new(&cfg);
+                let mut eager = eager_array(&cfg);
+                let (mut lazy_map, mut eager_map) = (HashMap::new(), HashMap::new());
+                prop_assert_eq!(array_state(&lazy), array_state(&eager));
+                prop_assert_eq!(
+                    overwrite(&mut lazy, &cfg, &mut lazy_map, partial),
+                    overwrite(&mut eager, &cfg, &mut eager_map, partial)
+                );
+                for &fill in fills {
+                    lazy.warm_up(fill);
+                    eager.warm_up(fill);
+                    prop_assert_eq!(array_state(&lazy), array_state(&eager));
+                }
+                // A short trace replays identically, program by program.
+                prop_assert_eq!(
+                    overwrite(&mut lazy, &cfg, &mut lazy_map, &trace),
+                    overwrite(&mut eager, &cfg, &mut eager_map, &trace)
+                );
+                prop_assert_eq!(array_state(&lazy), array_state(&eager));
+            }
+        }
     }
 }
